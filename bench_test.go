@@ -100,28 +100,6 @@ func BenchmarkHarnessFigure4WorkersN(b *testing.B) {
 	benchmarkFigure4Workers(b, runtime.GOMAXPROCS(0))
 }
 
-// benchmarkFigure4Shards pins the intra-simulation parallel path: the
-// same sweep with each simulated machine split into conservative
-// time-windowed shards. Results are byte-identical to shards=1; host
-// time scales with available cores (no speedup on a 1-core host).
-func benchmarkFigure4Shards(b *testing.B, shards int) {
-	cfg := benchCfg()
-	cfg.Shards = shards
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, series := harness.Figure4(cfg)
-		if len(series) != 3 {
-			b.Fatal("bad series")
-		}
-	}
-}
-
-func BenchmarkHarnessFigure4Shards1(b *testing.B) { benchmarkFigure4Shards(b, 1) }
-
-func BenchmarkHarnessFigure4ShardsN(b *testing.B) {
-	benchmarkFigure4Shards(b, runtime.GOMAXPROCS(0))
-}
-
 // --- Figure 5: Gröbner under message-passing costs -------------------------
 
 func BenchmarkFigure5GroebnerMPComparison(b *testing.B) {

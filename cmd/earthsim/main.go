@@ -16,16 +16,15 @@
 // messages issued within one engine step merge into a single wire
 // transfer (flushed at step boundaries or the configured byte/count
 // threshold), costed as one per-message overhead plus the summed
-// serialisation. Statistics remain deterministic and shard-independent.
+// serialisation. Statistics remain deterministic.
 //
 // -sanitize attaches a signal ledger to every frame the engines touch
 // and reports sync-contract violations at run end (see
 // earth.SanitizeReport): one-shot slots signalled past exhaustion, Adds
 // that would drive a counter negative, slots still armed at quiescence
 // and installed threads that never ran. The report aggregates structural
-// facts only, so it is byte-identical across -shards counts and
-// -coalesce modes. -sanitize-json writes just the report (implies
-// -sanitize), which is what CI diffs across those modes.
+// facts only, so it is byte-identical with and without -coalesce.
+// -sanitize-json writes just the report (implies -sanitize).
 //
 // -faults installs a deterministic fault plan on the simulated network
 // (message drops recovered by modelled retry/timeout, duplication
@@ -123,8 +122,6 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "percent of seeded jitter on modelled operation costs")
 	runs := flag.Int("runs", 1, "repeated seeded runs; > 1 reports elapsed mean/min/max")
 	workers := flag.Int("workers", 0, "host worker pool size for -runs > 1 (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1,
-		"simulator shards (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
 	coalesce := flag.Bool("coalesce", false,
 		"merge same-destination small messages within an engine step (batched wire path)")
 	sanitize := flag.Bool("sanitize", false,
@@ -176,9 +173,6 @@ func main() {
 	if *showMetrics || *statsJSON != "" || *debugAddr != "" {
 		met = obs.NewMetrics()
 	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
 	if *sanitizeJSON != "" {
 		*sanitize = true
 	}
@@ -186,7 +180,7 @@ func main() {
 		fail("-retry-jitter must be in [0,1), got %v", *retryJitter)
 	}
 	cfg := earth.Config{Nodes: *nodes, Costs: costs, Seed: *seed, Balancer: bal,
-		JitterPct: *jitter, Shards: *shards, Sanitize: *sanitize,
+		JitterPct: *jitter, Sanitize: *sanitize,
 		Coalesce: earth.CoalesceConfig{Enabled: *coalesce},
 		Retry:    earth.RetryPolicy{Lease: sim.Time(retryLease.Nanoseconds()), Jitter: *retryJitter}}
 	if *faultSpec != "" {

@@ -5,7 +5,7 @@
 //
 //	paperfigs [-exp all|table1|figure2|table2|figure4|figure5|table3|figure7|figure8|ablations|chaos|crash|partition|overhead]
 //	          [-runs N] [-nodes 1,2,4,8,11,14,16,20] [-seed S] [-workers W]
-//	          [-shards S] [-json out.json] [-faults PLAN] [-nocoalesce]
+//	          [-json out.json] [-faults PLAN] [-nocoalesce]
 //
 // -exp chaos runs the fault-injection sweep: every workload under a
 // deterministic drop/dup/reorder plan (-faults, seed-pinnable) next to a
@@ -39,10 +39,7 @@
 // that (slower). The default of 5 gives stable means in seconds.
 // Sweeps decompose into independent simulation cells evaluated on a
 // host worker pool (-workers, default GOMAXPROCS); the output is
-// byte-identical to -workers 1 for the same seed. Independently,
-// -shards splits each simulated machine across host cores with
-// conservative time-windowed parallel simulation — also byte-identical
-// for every value, so the two host-parallelism axes compose freely.
+// byte-identical to -workers 1 for the same seed.
 // -json additionally writes the reports — including the numeric series
 // behind each figure — as machine-readable JSON, so plots can be
 // regenerated without reparsing the text output.
@@ -53,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -67,8 +63,6 @@ func main() {
 	nodes := flag.String("nodes", "", "comma-separated node counts (default paper sweep)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "host worker pool size for sweep cells (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1,
-		"simulator shards per cell (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
 	jsonPath := flag.String("json", "", "write reports (with figure series) as JSON")
 	faultSpec := flag.String("faults", "",
 		"fault plan for -exp chaos (default: the 5% drop + dup + reorder envelope)")
@@ -76,11 +70,8 @@ func main() {
 		"pin the per-message wire path (disable same-destination coalescing)")
 	flag.Parse()
 
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
 	cfg := harness.Config{Runs: *runs, Seed: *seed, Workers: *workers,
-		Shards: *shards, NoCoalesce: *noCoalesce}
+		NoCoalesce: *noCoalesce}
 	if *nodes != "" {
 		for _, part := range strings.Split(*nodes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

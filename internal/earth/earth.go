@@ -215,8 +215,7 @@ type Config struct {
 	// traverses the fault injector as a single envelope, so injector
 	// verdicts apply per-batch deterministically. Get/Invoke/Token and
 	// local operations are never coalesced. Under simrt coalesced runs
-	// remain byte-reproducible for every shard count; coalescing changes
-	// the cost model, so outputs differ from (and are not comparable to)
+	// remain byte-reproducible; coalescing changes the cost model, so outputs differ from (and are not comparable to)
 	// uncoalesced runs.
 	Coalesce CoalesceConfig
 	// Sanitize makes both engines track a per-slot signal ledger on every
@@ -227,18 +226,9 @@ type Config struct {
 	// ran. The overflow/underflow paths that would otherwise panic are
 	// recorded and swallowed so a run reports every violation at once.
 	// The report contains no timestamps and aggregates over frame
-	// structure only, so it is byte-identical across shard counts and
-	// coalesce modes.
+	// structure only, so it is byte-identical with and without
+	// coalescing.
 	Sanitize bool
-	// Shards partitions the simulated nodes across host workers for
-	// conservative time-windowed parallel simulation under simrt. Results
-	// (stats JSON, traces, critical-path attribution) are byte-identical
-	// for every value; only wall-clock time changes. 0 and 1 both mean a
-	// single shard; values above Nodes are clamped. livert ignores it —
-	// it is already one goroutine per node. Programs run with Shards > 1
-	// must be safe for concurrent execution of distinct nodes' bodies
-	// (the same contract livert imposes); all the repo's apps are.
-	Shards int
 }
 
 // CoalesceConfig tunes the wire-path coalescer (see Config.Coalesce).

@@ -118,6 +118,11 @@ func FuzzFaultRecovery(f *testing.F) {
 	f.Add(uint8(10), uint8(5), uint8(20), int64(3), []byte{1, 2, 3})
 	f.Add(uint8(49), uint8(49), uint8(99), int64(7), []byte{5, 3, 2, 40, 41, 42})
 	f.Add(uint8(0), uint8(0), uint8(0), int64(0), []byte{9})
+	// Drop/dup-only envelopes, including an empty program and a drop
+	// rate above the supported range (folded by the modulus below).
+	f.Add(uint8(10), uint8(5), uint8(0), int64(7), []byte{255, 3, 255, 0, 0, 0, 7, 7, 7, 7, 99, 1})
+	f.Add(uint8(20), uint8(0), uint8(0), int64(7), []byte{})
+	f.Add(uint8(88), uint8(0), uint8(0), int64(7), []byte("Ac"))
 	f.Fuzz(func(t *testing.T, drop, dup, reorder uint8, seed int64, data []byte) {
 		p := decodeFuzzProgram(data)
 		plan := &faults.Plan{

@@ -2,7 +2,6 @@ package enginetest
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"earth/internal/earth"
@@ -13,9 +12,8 @@ import (
 // Runtime sanitizer conformance: with Config.Sanitize set, both engines
 // must detect every class of injected sync-contract violation, agree on
 // the aggregated report, and — under simrt — produce byte-identical
-// reports across shard counts and coalesce modes (the report carries no
-// timestamps, so even the cost-model change of coalescing cannot reach
-// it).
+// reports with and without coalescing (the report carries no timestamps,
+// so even the cost-model change of coalescing cannot reach it).
 
 // sanCase is one injected-bug program. Each program terminates cleanly
 // (sanitize mode records violations instead of panicking) and must yield
@@ -152,62 +150,23 @@ func TestSanitizeInjectedBugs(t *testing.T) {
 	}
 }
 
-// TestSanitizeReportByteIdentical pins the tentpole determinism claim:
-// the marshalled report of a sanitized run is byte-identical across
-// shard counts AND across coalesce modes. Coalescing changes virtual
-// times (a different cost model), so the full stats are not comparable —
-// but the report aggregates structure only and must not move.
+// TestSanitizeReportByteIdentical pins the determinism claim: the
+// marshalled report of a sanitized run is byte-identical with and without
+// coalescing. Coalescing changes virtual times (a different cost model),
+// so the full stats are not comparable — but the report aggregates
+// structure only and must not move. Both a clean run and a run with
+// findings are checked.
 func TestSanitizeReportByteIdentical(t *testing.T) {
-	run := func(shards int, coalesce bool) []byte {
-		cfg := earth.Config{Nodes: 8, Seed: 31, Sanitize: true, Shards: shards,
-			Coalesce: earth.CoalesceConfig{Enabled: coalesce}}
-		var total int
-		var done bool
-		body, want := shardMixProg(cfg.Nodes, &total, &done)
-		st := simrt.New(cfg).Run(body)
-		if total != want || !done {
-			t.Fatalf("shards=%d coalesce=%v: wrong result", shards, coalesce)
-		}
-		b, err := json.Marshal(st.Sanitize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	base := run(1, false)
-	for _, v := range []struct {
-		shards   int
-		coalesce bool
-	}{{4, false}, {1, true}, {4, true}} {
-		if got := run(v.shards, v.coalesce); !bytes.Equal(got, base) {
-			t.Errorf("shards=%d coalesce=%v: report diverges\n got: %s\nwant: %s",
-				v.shards, v.coalesce, got, base)
+	for _, name := range []string{"sanitize/clean", "sanitize/overflow", "app/nn/sanitize"} {
+		plain := goldenCaseNamed(t, name).run(t).artifacts(t)["sanitize"]
+		coal := goldenCaseNamed(t, name+"-coalesce").run(t).artifacts(t)["sanitize"]
+		if !bytes.Equal(coal, plain) {
+			t.Errorf("%s: report diverges under coalescing\n got: %s\nwant: %s", name, coal, plain)
 		}
 	}
-	// The same holds for a run with findings: inject the overflow case
-	// into the mixed program's machine size and compare across modes.
-	bugRun := func(shards int, coalesce bool) []byte {
-		cfg := earth.Config{Nodes: 4, Seed: 32, Sanitize: true, Shards: shards,
-			Coalesce: earth.CoalesceConfig{Enabled: coalesce}}
-		st := simrt.New(cfg).Run(sanCases()[0].prog)
-		b, err := json.Marshal(st.Sanitize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	bugBase := bugRun(1, false)
-	if !bytes.Contains(bugBase, []byte("slot-overflow")) {
-		t.Fatalf("expected an overflow finding in %s", bugBase)
-	}
-	for _, v := range []struct {
-		shards   int
-		coalesce bool
-	}{{4, false}, {1, true}, {4, true}} {
-		if got := bugRun(v.shards, v.coalesce); !bytes.Equal(got, bugBase) {
-			t.Errorf("shards=%d coalesce=%v: bug report diverges\n got: %s\nwant: %s",
-				v.shards, v.coalesce, got, bugBase)
-		}
+	overflow := goldenCaseNamed(t, "sanitize/overflow").run(t).artifacts(t)["sanitize"]
+	if !bytes.Contains(overflow, []byte("slot-overflow")) {
+		t.Fatalf("expected an overflow finding in %s", overflow)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestSanitizeReportJSONRoundTrip(t *testing.T) {
 func TestSanitizeReportOrderIndependent(t *testing.T) {
 	// BuildSanitizeReport is a pure function of frame end states: any
 	// permutation of the input slice marshals identically. This is the
-	// unit-level face of the cross-shard byte-identity guarantee.
+	// unit-level face of the report's byte-identity guarantee.
 	mk := func() []*Frame {
 		var frames []*Frame
 		for i := 0; i < 4; i++ {

@@ -22,20 +22,18 @@
 // per runtime action, in a canonical deterministic order, timestamped in
 // virtual time; without one, every emission site is a single nil check.
 //
-// # Parallel simulation
+// # Time windows
 //
-// The simulated nodes are partitioned into Config.Shards contiguous groups,
-// each with its own event queue, and the run proceeds in conservative time
-// windows of width manna.Config.MinRemoteLatency() — the classic lookahead
-// bound: no message issued inside a window can arrive anywhere before the
-// window ends, so shards execute each window concurrently on host workers
-// and exchange cross-node messages only at the window barriers, in a
-// canonical (arrival, sender, issue-order) merge. Every cross-node effect
-// — messages, steal matching, crash boundaries, utilisation samples —
-// flows through the same barrier machinery regardless of the shard count,
-// which is what makes stats, traces and critical-path attribution
-// byte-identical for every value of Config.Shards, including under fault
-// plans and crash-stop recovery. See window.go for the coordinator.
+// One event queue drives the whole machine, in conservative time windows
+// of width manna.Config.MinRemoteLatency(): no message issued inside a
+// window can arrive anywhere before the window ends. Cross-node messages
+// issued mid-window wait in an outbox and enter the queue at the window
+// barrier in a canonical (arrival, sender, issue-order) merge; idle
+// thieves are matched to steal victims, utilisation samples are emitted
+// and crash/fence boundaries are applied there too. The windows are part
+// of the model, not a host-side optimisation: they fix the steal-matching
+// instants and the order of same-instant arrivals, so they define the
+// virtual-time results. See window.go.
 //
 // The implementation is tuned to minimise host-side allocation on the
 // per-event hot path: every in-flight runtime message (sync signals,
@@ -177,12 +175,10 @@ func (q *tokenDeque) reset() {
 }
 
 // node is the simulated per-node state. Mid-window, a node's state is
-// touched only by its own shard (every cross-node effect is a time-stamped
-// message exchanged at barriers), which is the invariant that lets shards
-// run concurrently without locks.
+// touched only by its own events: every cross-node effect is a
+// time-stamped message applied at a barrier.
 type node struct {
 	id     earth.NodeID
-	sh     *shard     // owning shard
 	ready  itemQueue  // FIFO ready queue of threads
 	tokens tokenDeque // local token pool (LIFO for local execution, FIFO for steals)
 	// outSeq numbers this node's outboxed messages so the barrier merge can
@@ -257,7 +253,7 @@ const (
 )
 
 // msg is a pooled in-flight runtime message. Every remote leg the engine
-// schedules is one envelope drawn from a shard's free list; the fire
+// schedules is one envelope drawn from the runtime's free list; the fire
 // closure is allocated once per envelope and survives recycling, so
 // steady-state message traffic schedules simulator events without
 // allocating (beyond the application-level bodies the caller created).
@@ -305,10 +301,10 @@ type msg struct {
 
 // Runtime is a simulated EARTH machine.
 type Runtime struct {
-	cfg    earth.Config
-	mach   *manna.Machine
-	nodes  []*node
-	shards []*shard
+	cfg   earth.Config
+	mach  *manna.Machine
+	nodes []*node
+	eng   *sim.Engine
 	// lookahead is the conservative window width: no cross-node message
 	// issued at T can arrive before T+lookahead (manna.MinRemoteLatency,
 	// which stays a lower bound under every fault perturbation).
@@ -322,21 +318,21 @@ type Runtime struct {
 	// sampling is true when a tracer with UtilSamplePeriod is installed; it
 	// makes the Busy accrual points also record spans for window attribution.
 	sampling bool
-	// cord buffers trace events emitted by the coordinator between windows
-	// (barrier work: boundaries, steal matching, samples). Merged with the
-	// shard buffers and canonically sorted at the end of the run.
-	cord []earth.Event
-	// atBarrier is true while the coordinator runs between windows: sends
-	// issued then insert directly into the (quiesced) target engines
-	// instead of the shard outboxes. Only the coordinator writes it, and
-	// only while the workers are parked at the barrier.
+	// events buffers the run's trace events, canonically sorted and handed
+	// to the tracer when the run completes.
+	events []earth.Event
+	// outbox holds the cross-node messages issued in the current window,
+	// merged into the queue at the barrier; misses holds the thieves whose
+	// steal request missed in the current window, re-armed at the barrier.
+	outbox []outboxEntry
+	misses []earth.NodeID
+	// msgFree is the envelope pool.
+	msgFree []*msg
+	// atBarrier is true between windows: sends issued then insert directly
+	// into the event queue instead of the outbox.
 	atBarrier bool
-	// victimScratch is reused by pickVictim; boxScratch/missScratch by the
-	// barrier merges.
+	// victimScratch is reused by pickVictim.
 	victimScratch []*node
-	boxScratch    []outboxEntry
-	missScratch   []missNote
-	actScratch    []*shard
 	// Fault injection (nil injs means a clean run: every fault hook is a
 	// single pointer check). One injector lane per sender node, so verdict
 	// draws depend only on that node's deterministic send order.
@@ -397,31 +393,15 @@ func New(cfg earth.Config) *Runtime {
 		mc = manna.Default(cfg.Nodes)
 		mc.BandwidthBytesPerSec = cfg.Bandwidth
 	}
-	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > cfg.Nodes {
-		nShards = cfg.Nodes
-	}
 	rt := &Runtime{
 		cfg:           cfg,
 		mach:          manna.New(mc),
 		nodes:         make([]*node, cfg.Nodes),
-		shards:        make([]*shard, nShards),
 		lookahead:     mc.MinRemoteLatency(),
 		tr:            cfg.Tracer,
 		coalOn:        cfg.Coalesce.Enabled,
 		sanOn:         cfg.Sanitize,
 		victimScratch: make([]*node, 0, cfg.Nodes),
-	}
-	for i := range rt.shards {
-		rt.shards[i] = &shard{
-			id: i,
-			lo: i * cfg.Nodes / nShards,
-			hi: (i + 1) * cfg.Nodes / nShards,
-			rt: rt,
-		}
 	}
 	for i := range rt.nodes {
 		n := &node{
@@ -432,11 +412,6 @@ func New(cfg earth.Config) *Runtime {
 		n.tokens.buf = make([]token, 64)
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
-	}
-	for _, s := range rt.shards {
-		for j := s.lo; j < s.hi; j++ {
-			rt.nodes[j].sh = s
-		}
 	}
 	if cfg.Faults.Enabled() {
 		rt.plan = cfg.Faults
@@ -486,14 +461,12 @@ func New(cfg earth.Config) *Runtime {
 	return rt
 }
 
-// newMsg draws an envelope from a shard's free list (or allocates one with
-// its permanent fire closure). Mid-window the list must be the executing
-// shard's; between windows any list is safe and the coordinator uses the
-// target's.
-func (rt *Runtime) newMsg(sh *shard) *msg {
-	if k := len(sh.msgFree); k > 0 {
-		m := sh.msgFree[k-1]
-		sh.msgFree = sh.msgFree[:k-1]
+// newMsg draws an envelope from the free list (or allocates one with its
+// permanent fire closure).
+func (rt *Runtime) newMsg() *msg {
+	if k := len(rt.msgFree); k > 0 {
+		m := rt.msgFree[k-1]
+		rt.msgFree = rt.msgFree[:k-1]
 		return m
 	}
 	m := &msg{rt: rt}
@@ -501,9 +474,8 @@ func (rt *Runtime) newMsg(sh *shard) *msg {
 	return m
 }
 
-// freeMsg returns an envelope to the pool of the shard it fired on,
-// dropping reference fields.
-func (rt *Runtime) freeMsg(sh *shard, m *msg) {
+// freeMsg returns an envelope to the pool, dropping reference fields.
+func (rt *Runtime) freeMsg(m *msg) {
 	m.stage = 0
 	m.f = nil
 	m.body = nil
@@ -511,9 +483,8 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	m.write = nil
 	m.deliver = nil
 	// issue must clear: deliver treats a zero issue as "stamp me", and a
-	// stale value from the envelope's previous life would vary with the
-	// pool's reuse order — which is exactly what must not leak into
-	// recovery-latency accounting across shard layouts.
+	// stale value from the envelope's previous life would leak into
+	// recovery-latency accounting.
 	m.issue = 0
 	m.bytes = 0
 	m.cause = 0
@@ -529,20 +500,13 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	// backing array and may not have fired yet, so the elements must not
 	// be cleared here.
 	m.batch = nil
-	sh.msgFree = append(sh.msgFree, m)
+	rt.msgFree = append(rt.msgFree, m)
 }
 
-// emit buffers a trace event on the executing shard's stream, or on the
-// coordinator stream (sh == nil) for between-window emissions. All buffers
-// are merged and canonically sorted when the run completes, so placement
-// never affects the final stream — it only keeps concurrent shards from
-// sharing one slice.
-func (rt *Runtime) emit(sh *shard, ev earth.Event) {
-	if sh == nil {
-		rt.cord = append(rt.cord, ev)
-		return
-	}
-	sh.events = append(sh.events, ev)
+// emit buffers a trace event. The buffer is canonically sorted when the
+// run completes (flushTrace), so emission order never reaches the tracer.
+func (rt *Runtime) emit(ev earth.Event) {
+	rt.events = append(rt.events, ev)
 }
 
 // P returns the node count.
@@ -554,13 +518,10 @@ func (rt *Runtime) P() int { return len(rt.nodes) }
 // runs explore different schedules, as repeated real runs would).
 func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	rt.mach.Reset()
-	for _, s := range rt.shards {
-		s.eng = sim.New()
-		s.outbox = s.outbox[:0]
-		s.misses = s.misses[:0]
-		s.events = s.events[:0]
-	}
-	rt.cord = rt.cord[:0]
+	rt.eng = sim.New()
+	rt.outbox = rt.outbox[:0]
+	rt.misses = rt.misses[:0]
+	rt.events = rt.events[:0]
 	if rt.injs != nil {
 		for _, in := range rt.injs {
 			in.Reset()
@@ -608,10 +569,10 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 					if x >= len(rt.nodes) {
 						continue
 					}
-					rt.emit(nil, earth.Event{Time: pt.From, Node: earth.NodeID(x), Peer: earth.NoPeer,
+					rt.emit(earth.Event{Time: pt.From, Node: earth.NodeID(x), Peer: earth.NoPeer,
 						Kind: earth.EvPartitionStart, Dur: pt.To - pt.From, Cause: earth.CausePartition})
 					if !fenced {
-						rt.emit(nil, earth.Event{Time: pt.To, Node: earth.NodeID(x), Peer: earth.NoPeer,
+						rt.emit(earth.Event{Time: pt.To, Node: earth.NodeID(x), Peer: earth.NoPeer,
 							Kind: earth.EvPartitionHeal, Cause: earth.CausePartition})
 					}
 				}
@@ -636,10 +597,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	st := &earth.Stats{
 		Elapsed: rt.maxExec,
 		Nodes:   make([]earth.NodeStats, len(rt.nodes)),
-		Events:  rt.bApplied,
-	}
-	for _, s := range rt.shards {
-		st.Events += s.eng.Events
+		Events:  rt.bApplied + rt.eng.Events,
 	}
 	for i, n := range rt.nodes {
 		st.Nodes[i] = n.stats
@@ -652,7 +610,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		st.Sanitize = earth.BuildSanitizeReport(frames)
 		if rt.tr != nil {
 			for _, fd := range st.Sanitize.Findings {
-				rt.emit(nil, earth.Event{Time: rt.maxExec, Node: fd.Home, Peer: earth.NoPeer,
+				rt.emit(earth.Event{Time: rt.maxExec, Node: fd.Home, Peer: earth.NoPeer,
 					Kind: earth.EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
 			}
 		}
@@ -680,7 +638,7 @@ func (rt *Runtime) applyCrash(b boundary) {
 	n := rt.nodes[x]
 	n.stats.FaultsInjected++
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: b.at, Node: n.id, Peer: earth.NoPeer,
+		rt.emit(earth.Event{Time: b.at, Node: n.id, Peer: earth.NoPeer,
 			Kind: earth.EvFaultInjected, Cause: earth.CauseCrash, Dur: rt.retry.Lease})
 	}
 }
@@ -700,7 +658,7 @@ func (rt *Runtime) applyDetect(b boundary) {
 	sn := rt.nodes[s]
 	now := b.at
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.emit(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
 			Kind: earth.EvNodeDown, Dur: rt.retry.Lease, Cause: earth.CauseCrash})
 	}
 	// The dead node no longer participates in stealing.
@@ -712,7 +670,7 @@ func (rt *Runtime) applyDetect(b boundary) {
 		it.enq = now
 		sn.stats.FramesReplayed++
 		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+			rt.emit(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
 				Kind: earth.EvFrameReplayed, Cause: earth.CauseCrash})
 		}
 		rt.enqueueAt(sn, it, now)
@@ -757,7 +715,7 @@ func (rt *Runtime) applyFence(b boundary) {
 	sn.stats.WrongVerdicts++
 	now := b.at
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.emit(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
 			Kind: earth.EvPartitionFence, Dur: rt.retry.Lease, Cause: earth.CausePartition})
 	}
 	n.hungry, n.stealing = false, false
@@ -766,7 +724,7 @@ func (rt *Runtime) applyFence(b boundary) {
 		it.enq = now
 		sn.stats.FramesReplayed++
 		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+			rt.emit(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
 				Kind: earth.EvFrameReplayed, Cause: earth.CausePartition})
 		}
 		rt.enqueueAt(sn, it, now)
@@ -791,7 +749,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 	n := rt.nodes[x]
 	n.stats.Rejoins++
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: b.at, Node: n.id, Peer: earth.NoPeer,
+		rt.emit(earth.Event{Time: b.at, Node: n.id, Peer: earth.NoPeer,
 			Kind: earth.EvRejoined, Dur: b.at - b.ref, Cause: earth.CausePartition})
 	}
 	// Work that landed while halted (stage-1 remnants of pre-fence
@@ -800,7 +758,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 	if n.ready.len() > 0 || n.tokens.len() > 0 {
 		if !n.running {
 			n.running = true
-			n.sh.eng.At(b.at, n.dispatchFn)
+			rt.eng.At(b.at, n.dispatchFn)
 		}
 	} else if rt.cfg.Balancer == earth.BalanceSteal && !n.stealing {
 		n.hungry = true
@@ -814,8 +772,8 @@ func (rt *Runtime) applyHeal(b boundary) {
 // ownership moved to the adopter at the fence and never moves back, so
 // bodies the adopter already runs can keep spawning into frames homed on
 // the fenced node without the home flip-flopping under them. Both flags
-// only change at window boundaries, so mid-window reads from concurrent
-// shards see one frozen value.
+// only change at window boundaries, so every read inside a window sees
+// one frozen value.
 func (rt *Runtime) resolve(x earth.NodeID) earth.NodeID {
 	if rt.detected == nil && rt.everFenced == nil {
 		return x
@@ -834,8 +792,7 @@ func (rt *Runtime) downNow(x earth.NodeID) bool {
 
 // fenceSpan returns the fence covering node c at time at, or nil. The
 // fence schedule is immutable after construction and tiny (one entry per
-// minority node per fenced window), so send paths on any shard can scan
-// it freely.
+// minority node per fenced window), so send paths can scan it freely.
 func (rt *Runtime) fenceSpan(c earth.NodeID, at sim.Time) *faults.Fence {
 	for i := range rt.fences {
 		f := &rt.fences[i]
@@ -849,7 +806,7 @@ func (rt *Runtime) fenceSpan(c earth.NodeID, at sim.Time) *faults.Fence {
 // reassignToken returns one of a down node's pooled tokens to the load
 // balancer: round-robin placement over surviving nodes, shipped from the
 // adopter (which holds the checkpointed args now) at normal network cost.
-// Runs only at detection/fence boundaries, with every shard quiesced.
+// Runs only at detection/fence boundaries.
 // Placement skips crashed and ever-fenced nodes — the latter permanently,
 // matching resolve's ownership rule.
 func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Time, cause earth.Cause) {
@@ -867,7 +824,7 @@ func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Tim
 	tn := rt.nodes[t]
 	tn.stats.TokensReassigned++
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: now, Node: t, Peer: x,
+		rt.emit(earth.Event{Time: now, Node: t, Peer: x,
 			Kind: earth.EvWorkReassigned, Bytes: tk.argBytes, Cause: cause})
 	}
 	if t == sn.id {
@@ -875,7 +832,7 @@ func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Tim
 		return
 	}
 	arrival := rt.send(now+rt.cfg.Costs.AsyncSend, sn.id, t, tk.argBytes)
-	m := rt.newMsg(tn.sh)
+	m := rt.newMsg()
 	m.kind = msgThread
 	m.from, m.to = sn.id, t
 	m.body = tk.body
@@ -883,13 +840,12 @@ func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Tim
 	m.issue = now
 	m.cause = earth.CauseToken
 	m.recvCost = rt.cfg.Costs.RecvCost(tk.argBytes, false)
-	rt.deliver(nil, now, arrival, m)
+	rt.deliver(now, arrival, m)
 }
 
 // walkDown statically routes an arrival when a crash plan or fenced
 // partition is active, using only immutable schedules (crash times, fence
-// spans, lease) — no shard-local state — so it can run on any shard at
-// send time. A message headed to a node that has crashed by its arrival
+// spans, lease), so it can run at send time. A message headed to a node that has crashed by its arrival
 // is held until that node's lease expires (the sender's missed
 // heartbeats/acks are what expose the failure) and re-routed to the
 // adopter; a message arriving inside a node's fence span re-routes
@@ -933,8 +889,8 @@ func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, 
 // legs re-route silently — the adopter owns the checkpointed frame state
 // they target. Each hop's cause records whether a crash or a fence
 // displaced it. Stats and events land on the final target, which is the
-// node whose shard is executing.
-func (rt *Runtime) emitReroute(sh *shard, m *msg) {
+// node the envelope fires on.
+func (rt *Runtime) emitReroute(m *msg) {
 	fn := rt.nodes[m.to]
 	rt.walkDown(m.arr0, m.origTo, func(at sim.Time, x earth.NodeID) {
 		cause := earth.CauseCrash
@@ -945,13 +901,13 @@ func (rt *Runtime) emitReroute(sh *shard, m *msg) {
 		case m.kind == msgStealGrant, m.kind == msgThread && m.cause == earth.CauseToken:
 			fn.stats.TokensReassigned++
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: at, Node: m.to, Peer: x,
+				rt.emit(earth.Event{Time: at, Node: m.to, Peer: x,
 					Kind: earth.EvWorkReassigned, Bytes: m.bytes, Cause: cause})
 			}
 		case m.kind == msgThread:
 			fn.stats.FramesReplayed++
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: at, Node: m.to, Peer: x,
+				rt.emit(earth.Event{Time: at, Node: m.to, Peer: x,
 					Kind: earth.EvFrameReplayed, Cause: cause})
 			}
 		}
@@ -960,26 +916,24 @@ func (rt *Runtime) emitReroute(sh *shard, m *msg) {
 
 // enqueueAt places it on n's ready queue and kicks the dispatch chain at
 // the given instant if the node is idle. Mid-window callers pass the
-// executing engine's current time (see enqueue); boundary work passes the
-// boundary instant, since the node's own engine clock is stale between
-// windows.
+// engine's current time (see enqueue); boundary work passes the boundary
+// instant, since the engine clock is stale between windows.
 func (rt *Runtime) enqueueAt(n *node, it item, at sim.Time) {
 	n.ready.push(it)
 	n.hungry = false
 	if !n.running {
 		n.running = true
-		n.sh.eng.At(at, n.dispatchFn)
+		rt.eng.At(at, n.dispatchFn)
 	}
 }
 
-// enqueue places it on n's ready queue from an event executing on n's own
-// shard.
+// enqueue places it on n's ready queue from an event executing on n.
 func (rt *Runtime) enqueue(n *node, it item) {
-	rt.enqueueAt(n, it, n.sh.eng.Now())
+	rt.enqueueAt(n, it, rt.eng.Now())
 }
 
 // dispatch pops and executes the next unit of work on n. It runs as a
-// simulator event at the node's availability time, on n's own shard.
+// simulator event at the node's availability time.
 func (rt *Runtime) dispatch(n *node) {
 	// A crashed node halts at its dispatch boundary: whatever was running
 	// has completed, and nothing further dispatches. Queued state stays
@@ -994,7 +948,7 @@ func (rt *Runtime) dispatch(n *node) {
 		n.running = false
 		return
 	}
-	eng := n.sh.eng
+	eng := rt.eng
 	// A paused node defers its whole dispatch chain to the window's end.
 	// Messages still land and sync slots still fire during the pause (the
 	// Synchronization Unit keeps servicing the network); only thread
@@ -1004,7 +958,7 @@ func (rt *Runtime) dispatch(n *node) {
 		if pu := rt.plan.PauseUntil(int(n.id), now); pu > now {
 			n.stats.FaultsInjected++
 			if rt.tr != nil {
-				rt.emit(n.sh, earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
+				rt.emit(earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
 					Kind: earth.EvFaultInjected, Cause: earth.CausePause, Dur: pu - now})
 			}
 			eng.At(pu, n.dispatchFn)
@@ -1030,8 +984,7 @@ func (rt *Runtime) dispatch(n *node) {
 		n.running = false
 		// Dry under the steal balancer: flag the node hungry; the next
 		// window barrier matches it against a victim. (Steal requests are
-		// barrier work because victim selection needs a consistent view of
-		// every pool, which mid-window shards do not have.)
+		// barrier work: victim selection reads every pool at one instant.)
 		if rt.cfg.Balancer == earth.BalanceSteal && !n.stealing && !rt.downNow(n.id) {
 			n.hungry = true
 		}
@@ -1058,7 +1011,7 @@ func (rt *Runtime) dispatch(n *node) {
 		}
 	}
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{
+		rt.emit(earth.Event{
 			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvThreadRun,
 			Dur: end - start, Wait: start - it.enq, Cause: it.cause,
 		})
@@ -1073,7 +1026,7 @@ func (rt *Runtime) dispatch(n *node) {
 // execHandlerBody runs an active-message handler body on n at the current
 // event time (the receiver-side cost has already been charged).
 func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
-	start := n.sh.eng.Now()
+	start := rt.eng.Now()
 	hc := n.getCtx(rt, start)
 	body(hc)
 	if rt.coalOn {
@@ -1084,7 +1037,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 	n.stats.Busy += end - start
 	n.addSpan(rt, start, end)
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{
+		rt.emit(earth.Event{
 			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvHandlerRun,
 			Dur: end - start, Cause: earth.CauseHandler,
 		})
@@ -1095,7 +1048,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 // time. If the cost model consumes the CPU on receive, the node's next
 // dispatch is delayed correspondingly.
 func (rt *Runtime) chargeRecv(n *node, cost sim.Time) {
-	now := n.sh.eng.Now()
+	now := rt.eng.Now()
 	n.stats.Busy += cost
 	n.addSpan(rt, now, now+cost)
 	if rt.consumesCPUOnRecv() {
@@ -1110,17 +1063,16 @@ func (rt *Runtime) stageRecv(m *msg, n *node, cost sim.Time) bool {
 	rt.chargeRecv(n, cost)
 	if cost > 0 {
 		m.stage = 1
-		n.sh.eng.After(cost, m.fire)
+		rt.eng.After(cost, m.fire)
 		return true
 	}
 	return false
 }
 
 // deliver applies the fault plan to remote envelope m and routes it toward
-// its target. issue is when the sender-side software finished; sh is the
-// executing shard (nil for coordinator barrier work). Verdicts come from
-// the sender's injector lane, which only the sender's shard (or the
-// quiesced coordinator) ever draws from.
+// its target. issue is when the sender-side software finished. Verdicts
+// come from the sender's injector lane, so a node's fault realisation
+// depends only on its own send order.
 //
 // Recovery is accounted "god view" in virtual time: a transmission the
 // plan dropped k times arrives at issue plus the sum of its first k
@@ -1131,9 +1083,9 @@ func (rt *Runtime) stageRecv(m *msg, n *node, cost sim.Time) bool {
 // receiver keeps the first copy (fireMsg's idempotent-delivery check).
 // Retransmissions do not re-charge NIC serialisation, a deliberate model
 // simplification.
-func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
+func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 	if rt.injs == nil {
-		rt.routeMsg(sh, arrival, m)
+		rt.routeMsg(arrival, m)
 		return
 	}
 	v := rt.injs[m.from].Next(rt.retry.MaxRetries)
@@ -1165,15 +1117,15 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 				deadline += to
 				tries++
 				if rt.tr != nil {
-					rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+					rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 						Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CausePartition})
-					rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+					rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 						Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CausePartition})
 				}
 			}
 			sender.stats.Retries += uint64(tries)
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
+				rt.emit(earth.Event{Time: issue, Node: m.from, Peer: m.to,
 					Kind: earth.EvFaultInjected, Cause: earth.CausePartition, Bytes: m.bytes,
 					Dur: ub - issue})
 			}
@@ -1209,14 +1161,14 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 			attempt++
 			deadline += to
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+				rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 					Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CauseDrop})
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+				rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 					Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CauseDrop})
 			}
 		}
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
+			rt.emit(earth.Event{Time: issue, Node: m.from, Peer: m.to,
 				Kind: earth.EvFaultInjected, Cause: earth.CauseDrop, Bytes: m.bytes,
 				Dur: deadline - start})
 		}
@@ -1225,8 +1177,7 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 		// Corrupted attempts continue the backoff chain after the drops:
 		// each one crosses the wire, fails the receiver's checksum, is
 		// NACKed, and costs the sender one more backed-off retransmit.
-		// Receiver-side detection is accounted at fire time (EvCorrupt),
-		// where the receiving shard owns the stats.
+		// Receiver-side detection is accounted at fire time (EvCorrupt).
 		sender.stats.FaultsInjected++
 		sender.stats.Retries += uint64(v.Corrupts)
 		m.corrupts = uint16(v.Corrupts)
@@ -1236,14 +1187,14 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 			attempt++
 			deadline += to
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+				rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 					Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CauseCorrupt})
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
+				rt.emit(earth.Event{Time: deadline, Node: m.from, Peer: m.to,
 					Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CauseCorrupt})
 			}
 		}
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
+			rt.emit(earth.Event{Time: issue, Node: m.from, Peer: m.to,
 				Kind: earth.EvFaultInjected, Cause: earth.CauseCorrupt, Bytes: m.bytes,
 				Dur: deadline - start})
 		}
@@ -1254,7 +1205,7 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 	if v.Delay > 0 {
 		sender.stats.FaultsInjected++
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
+			rt.emit(earth.Event{Time: issue, Node: m.from, Peer: m.to,
 				Kind: earth.EvFaultInjected, Cause: earth.CauseDelay, Bytes: m.bytes,
 				Dur: v.Delay})
 		}
@@ -1263,30 +1214,26 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 	if v.Dup {
 		sender.stats.FaultsInjected++
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
+			rt.emit(earth.Event{Time: issue, Node: m.from, Peer: m.to,
 				Kind: earth.EvFaultInjected, Cause: earth.CauseDup, Bytes: m.bytes})
 		}
 		m.dup = true
-		pool := sh
-		if pool == nil {
-			pool = rt.nodes[m.to].sh
-		}
-		d := rt.cloneMsg(pool, m)
+		d := rt.cloneMsg(m)
 		// Each copy is routed from its own arrival: the clone trails by one
 		// base timeout and may cross a later detection boundary, failing
 		// over further along the adoption ring than the original.
-		rt.routeMsg(sh, arrival+rt.retry.AttemptTimeout(0), d)
+		rt.routeMsg(arrival+rt.retry.AttemptTimeout(0), d)
 	}
-	rt.routeMsg(sh, arrival, m)
+	rt.routeMsg(arrival, m)
 }
 
 // routeMsg finalises an envelope's target and arrival (static crash-stop
-// routing) and hands it over: mid-window it joins the executing shard's
-// outbox for the canonical barrier merge; between windows the coordinator
-// inserts it directly into the quiesced target engine. Conservative
-// lookahead guarantees the arrival lies at or beyond the current window's
-// end, so neither path can schedule into a shard's past.
-func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
+// routing) and hands it over: mid-window it joins the outbox for the
+// canonical barrier merge; between windows it goes straight into the
+// event queue. Conservative lookahead guarantees the arrival lies at or
+// beyond the current window's end, so neither path can schedule into the
+// past.
+func (rt *Runtime) routeMsg(arrival sim.Time, m *msg) {
 	m.origTo = m.to
 	if rt.crashAt != nil || len(rt.fences) > 0 {
 		a, dst := rt.walkDown(arrival, m.to, nil)
@@ -1298,7 +1245,7 @@ func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
 		arrival = a
 	}
 	if rt.atBarrier {
-		rt.nodes[m.to].sh.eng.At(arrival, m.fire)
+		rt.eng.At(arrival, m.fire)
 		return
 	}
 	if m.to == m.from {
@@ -1306,24 +1253,21 @@ func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
 		// adopted owner answering its own get, or a failover ring that
 		// wraps home), and such legs pay local — sub-lookahead — latency.
 		// They must not take the outbox: their arrival can precede the
-		// window end, and the barrier would insert them into the shard's
-		// past. Scheduling into the issuing shard's own future is always
-		// legal mid-window, and the choice depends only on (from, to), so
-		// it is identical for every shard layout.
-		sh.eng.At(arrival, m.fire)
+		// window end, and the barrier would insert them into the past.
+		rt.eng.At(arrival, m.fire)
 		return
 	}
 	from := rt.nodes[m.from]
 	from.outSeq++
-	sh.outbox = append(sh.outbox, outboxEntry{at: arrival, from: m.from, seq: from.outSeq, m: m})
+	rt.outbox = append(rt.outbox, outboxEntry{at: arrival, from: m.from, seq: from.outSeq, m: m})
 }
 
 // cloneMsg duplicates an envelope for duplicate injection. The copy shares
 // the original's closures and sequence number: whichever copy fires second
 // is suppressed by the idempotent-delivery check, so the shared closures
 // run at most once.
-func (rt *Runtime) cloneMsg(sh *shard, m *msg) *msg {
-	d := rt.newMsg(sh)
+func (rt *Runtime) cloneMsg(m *msg) *msg {
+	d := rt.newMsg()
 	d.kind = m.kind
 	d.stage = 0
 	d.from, d.to = m.from, m.to
@@ -1347,10 +1291,9 @@ func (rt *Runtime) cloneMsg(sh *shard, m *msg) *msg {
 	return d
 }
 
-// fireMsg applies a message envelope at its scheduled time, on the shard
-// owning its (final) target node.
+// fireMsg applies a message envelope at its scheduled time on its (final)
+// target node.
 func (rt *Runtime) fireMsg(m *msg) {
-	sh := rt.nodes[m.to].sh
 	if m.stage == 0 {
 		// The fencing NACK comes before every other delivery check: a
 		// message whose sender's incarnation epoch advanced while it was in
@@ -1362,27 +1305,25 @@ func (rt *Runtime) fireMsg(m *msg) {
 			n := rt.nodes[m.to]
 			n.stats.MsgsFenced++
 			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
+				now := rt.eng.Now()
+				rt.emit(earth.Event{Time: now, Node: m.to, Peer: m.from,
 					Kind: earth.EvFenced, Dur: now - m.issue, Bytes: m.bytes,
 					Cause: earth.CausePartition})
 			}
-			rt.freeMsg(sh, m)
+			rt.freeMsg(m)
 			return
 		}
 		// Account crash-stop failovers first, at arrival, before any
 		// delivery bookkeeping runs — mirroring the pre-computed routing
 		// done at send time.
 		if m.rerouted {
-			rt.emitReroute(sh, m)
+			rt.emitReroute(m)
 		}
 		// Idempotent delivery under a fault plan: both copies of a
 		// duplicated transmission consult the original target's seen map —
 		// the second copy is discarded here, which is what makes duplicates
 		// and reorders safe (a doubled Sync would otherwise over-decrement
-		// its slot). The original always arrives first in virtual time, and
-		// same-window copies always share a final target, so the map is
-		// only ever touched by one shard at a time.
+		// its slot). The original always arrives first in virtual time.
 		if m.dup {
 			tn := rt.nodes[m.origTo]
 			if tn.seen == nil {
@@ -1391,7 +1332,7 @@ func (rt *Runtime) fireMsg(m *msg) {
 			if tn.seen[m.seq] {
 				delete(tn.seen, m.seq)
 				rt.nodes[m.to].stats.DupsDropped++
-				rt.freeMsg(sh, m)
+				rt.freeMsg(m)
 				return
 			}
 			tn.seen[m.seq] = true
@@ -1400,22 +1341,21 @@ func (rt *Runtime) fireMsg(m *msg) {
 			n := rt.nodes[m.to]
 			n.stats.Recovered++
 			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
+				now := rt.eng.Now()
+				rt.emit(earth.Event{Time: now, Node: m.to, Peer: m.from,
 					Kind: earth.EvRecovered, Dur: now - m.issue, Bytes: m.bytes,
 					Cause: earth.CauseDrop})
 			}
 		}
 		if m.corrupts > 0 {
 			// The receiver's checksum caught each corrupted attempt and
-			// NACKed it; account the detections here, on the receiving
-			// shard. Dur is the end-to-end issue-to-delivery latency the
+			// NACKed it; account the detections here, at the receiver. Dur is the end-to-end issue-to-delivery latency the
 			// corruption inflated.
 			n := rt.nodes[m.to]
 			n.stats.MsgsCorrupted += uint64(m.corrupts)
 			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
+				now := rt.eng.Now()
+				rt.emit(earth.Event{Time: now, Node: m.to, Peer: m.from,
 					Kind: earth.EvCorrupt, Dur: now - m.issue, Bytes: m.bytes,
 					Cause: earth.CauseCorrupt})
 			}
@@ -1430,25 +1370,25 @@ func (rt *Runtime) fireMsg(m *msg) {
 			return
 		}
 		from, f, slot := m.from, m.f, m.slot
-		rt.freeMsg(sh, m)
-		rt.decSlot(n, from, sh.eng.Now(), f, slot)
+		rt.freeMsg(m)
+		rt.decSlot(n, from, rt.eng.Now(), f, slot)
 
 	case msgThread:
 		dst := rt.nodes[m.to]
-		now := sh.eng.Now()
+		now := rt.eng.Now()
 		if rt.tr != nil {
 			switch m.cause {
 			case earth.CauseInvoke:
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
+				rt.emit(earth.Event{Time: now, Node: m.to, Peer: m.from,
 					Kind: earth.EvInvokeDeliver, Bytes: m.bytes, Dur: now - m.issue})
 			case earth.CauseToken:
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
+				rt.emit(earth.Event{Time: now, Node: m.to, Peer: m.from,
 					Kind: earth.EvTokenDeliver, Bytes: m.bytes, Dur: now - m.issue})
 			}
 		}
 		it := item{body: m.body, recvCost: m.recvCost, enq: now,
 			cause: m.cause, token: m.cause == earth.CauseToken}
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		rt.enqueue(dst, it)
 
 	case msgPost:
@@ -1457,7 +1397,7 @@ func (rt *Runtime) fireMsg(m *msg) {
 			return
 		}
 		body := m.body
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		rt.execHandlerBody(n, body)
 
 	case msgPut:
@@ -1467,18 +1407,18 @@ func (rt *Runtime) fireMsg(m *msg) {
 		}
 		from, owner, f, slot := m.from, m.to, m.f, m.slot
 		bytes, issue, write := m.bytes, m.issue, m.write
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		write()
-		now := sh.eng.Now()
+		now := rt.eng.Now()
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: now, Node: owner, Peer: from,
+			rt.emit(earth.Event{Time: now, Node: owner, Peer: from,
 				Kind: earth.EvPutDeliver, Bytes: bytes, Dur: now - issue})
 		}
 		if f != nil {
 			if rt.resolve(f.Home) == owner {
 				rt.decSlot(dst, owner, now, f, slot)
 			} else {
-				rt.sendSyncAt(sh, now, owner, f, slot)
+				rt.sendSyncAt(now, owner, f, slot)
 			}
 		}
 
@@ -1500,9 +1440,9 @@ func (rt *Runtime) fireMsg(m *msg) {
 		m.seq, m.drops, m.corrupts = 0, 0, 0
 		m.dup, m.rerouted, m.arr0 = false, false, 0
 		m.recvCost = rt.cfg.Costs.RecvCost(m.bytes, false)
-		now := sh.eng.Now()
+		now := rt.eng.Now()
 		arrival := rt.send(now, owner.id, m.to, m.bytes)
-		rt.deliver(sh, now, arrival, m)
+		rt.deliver(now, arrival, m)
 
 	case msgGetResp:
 		src := rt.nodes[m.to]
@@ -1511,18 +1451,18 @@ func (rt *Runtime) fireMsg(m *msg) {
 		}
 		owner, f, slot := m.from, m.f, m.slot
 		bytes, issue, deliverFn := m.bytes, m.issue, m.deliver
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		deliverFn()
-		now := sh.eng.Now()
+		now := rt.eng.Now()
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: now, Node: src.id, Peer: owner,
+			rt.emit(earth.Event{Time: now, Node: src.id, Peer: owner,
 				Kind: earth.EvGetDeliver, Bytes: bytes, Dur: now - issue})
 		}
 		if f != nil {
 			if rt.resolve(f.Home) == src.id {
 				rt.decSlot(src, owner, now, f, slot)
 			} else {
-				rt.sendSyncAt(sh, now, src.id, f, slot)
+				rt.sendSyncAt(now, src.id, f, slot)
 			}
 		}
 
@@ -1532,18 +1472,18 @@ func (rt *Runtime) fireMsg(m *msg) {
 			return
 		}
 		thief := m.from
-		now := sh.eng.Now()
+		now := rt.eng.Now()
 		if victim.tokens.len() == 0 {
-			rt.freeMsg(sh, m)
+			rt.freeMsg(m)
 			if rt.tr != nil {
-				rt.emit(sh, earth.Event{
+				rt.emit(earth.Event{
 					Time: now, Node: thief, Peer: victim.id,
 					Kind: earth.EvStealMiss,
 				})
 			}
-			// The thief lives on another shard: it learns of the miss (and
-			// becomes eligible for re-matching) at the next barrier.
-			sh.misses = append(sh.misses, missNote{at: now, thief: thief})
+			// The thief learns of the miss (and becomes eligible for
+			// re-matching) at the next barrier.
+			rt.misses = append(rt.misses, thief)
 			return
 		}
 		// Ship the victim's oldest token (largest subtree, for tree-shaped
@@ -1561,7 +1501,7 @@ func (rt *Runtime) fireMsg(m *msg) {
 		m.seq, m.drops, m.corrupts = 0, 0, 0
 		m.dup, m.rerouted, m.arr0 = false, false, 0
 		m.recvCost = rt.cfg.Costs.RecvCost(tk.argBytes, false)
-		rt.deliver(sh, grantIssue, arrival, m)
+		rt.deliver(grantIssue, arrival, m)
 
 	case msgStealGrant:
 		thief := rt.nodes[m.to]
@@ -1570,10 +1510,10 @@ func (rt *Runtime) fireMsg(m *msg) {
 		}
 		thief.stealing = false
 		victimID, issue, bytes, body := m.from, m.issue, m.bytes, m.body
-		rt.freeMsg(sh, m)
-		now := sh.eng.Now()
+		rt.freeMsg(m)
+		now := rt.eng.Now()
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{
+			rt.emit(earth.Event{
 				Time: now, Node: thief.id, Peer: victimID,
 				Kind: earth.EvStealGrant, Dur: now - issue, Bytes: bytes,
 			})
@@ -1587,7 +1527,7 @@ func (rt *Runtime) fireMsg(m *msg) {
 			return
 		}
 		from, ops := m.from, m.batch
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		// Apply the merged operations in issue order, all at the batch's
 		// single effect instant. Frame routing mirrors the unbatched fire
 		// paths (msgSync/msgPut/msgPost above); the receiver-side overhead
@@ -1597,19 +1537,19 @@ func (rt *Runtime) fireMsg(m *msg) {
 			op := &ops[i]
 			switch op.kind {
 			case msgSync:
-				rt.decSlot(n, from, sh.eng.Now(), op.f, op.slot)
+				rt.decSlot(n, from, rt.eng.Now(), op.f, op.slot)
 			case msgPut:
 				op.write()
-				now := sh.eng.Now()
+				now := rt.eng.Now()
 				if rt.tr != nil {
-					rt.emit(sh, earth.Event{Time: now, Node: n.id, Peer: from,
+					rt.emit(earth.Event{Time: now, Node: n.id, Peer: from,
 						Kind: earth.EvPutDeliver, Bytes: op.bytes, Dur: now - op.issue})
 				}
 				if op.f != nil {
 					if rt.resolve(op.f.Home) == n.id {
 						rt.decSlot(n, n.id, now, op.f, op.slot)
 					} else {
-						rt.sendSyncAt(sh, now, n.id, op.f, op.slot)
+						rt.sendSyncAt(now, n.id, op.f, op.slot)
 					}
 				}
 			case msgPost:
@@ -1634,19 +1574,18 @@ func (rt *Runtime) consumesCPUOnRecv() bool {
 
 // sendSyncAt charges the network for an 8-byte sync signal issued by from
 // at ready and schedules its pooled delivery envelope at f's home node —
-// or the home's adopter once a crash has been detected. sh is the
-// executing shard (from's own).
-func (rt *Runtime) sendSyncAt(sh *shard, ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
+// or the home's adopter once a crash has been detected.
+func (rt *Runtime) sendSyncAt(ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
 	home := rt.resolve(f.Home)
 	arrival := rt.send(ready, from, home, 8)
-	m := rt.newMsg(sh)
+	m := rt.newMsg()
 	m.kind = msgSync
 	m.from = from
 	m.to = home
 	m.f = f
 	m.slot = slot
 	m.bytes = 8
-	rt.deliver(sh, ready, arrival, m)
+	rt.deliver(ready, arrival, m)
 }
 
 // decSlot decrements a slot on its home node and enqueues the enabled
@@ -1656,7 +1595,7 @@ func (rt *Runtime) sendSyncAt(sh *shard, ready sim.Time, from earth.NodeID, f *e
 func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Frame, slot int) {
 	n.stats.Syncs++
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
+		rt.emit(earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
 	}
 	rt.sanTrack(n, f)
 	if fired, th := f.Dec(slot); fired {
@@ -1667,7 +1606,7 @@ func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Fra
 // sanTrack attaches the sanitize ledger to f on its first engine contact
 // and records the frame for the end-of-run scan. Every engine-mediated
 // frame operation runs on the frame's (current) home node's execution
-// context, so the attach is race-free even under shards; crash adoption
+// context; crash adoption
 // moves that context wholesale, and the Sanitized check keeps a frame
 // from registering twice across the move.
 func (rt *Runtime) sanTrack(n *node, f *earth.Frame) {
@@ -1681,7 +1620,7 @@ func (rt *Runtime) sanTrack(n *node, f *earth.Frame) {
 // send charges the network for a message and returns its arrival time.
 // ready is the virtual time the sender-side software finished. All mutated
 // state (sender stats, the sender's NIC reservation, per-source machine
-// counters) belongs to src, so concurrent shards never contend.
+// counters) belongs to src.
 func (rt *Runtime) send(ready sim.Time, src, dst earth.NodeID, payload int) sim.Time {
 	// wireExtra charges the end-to-end checksum (manna.ChecksumBytes) on
 	// every transfer when the plan can corrupt payloads; it is 0 otherwise,
@@ -1702,13 +1641,13 @@ func (rt *Runtime) depositToken(n *node, cursor sim.Time, tk token) sim.Time {
 	n.hungry = false
 	if !n.running {
 		n.running = true
-		n.sh.eng.After(0, n.dispatchFn)
+		rt.eng.After(0, n.dispatchFn)
 	}
 	return cursor
 }
 
 // pickVictim returns a random node with a non-empty token pool, or nil.
-// The candidate list is scratch reused across calls. Only the coordinator
+// The candidate list is scratch reused across calls. Only the barrier
 // calls this (steal matching is barrier work).
 func (rt *Runtime) pickVictim(thief *node) *node {
 	candidates := rt.victimScratch[:0]
@@ -1782,7 +1721,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 		return
 	}
 	c.cursor += c.rt.cfg.Costs.AsyncSend
-	c.rt.sendSyncAt(c.n.sh, c.cursor, c.n.id, f, slot)
+	c.rt.sendSyncAt(c.cursor, c.n.id, f, slot)
 }
 
 func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, slot int) {
@@ -1803,7 +1742,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		c.cursor += rt.cfg.Costs.CopyCost(nbytes)
 		issue := c.cursor
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: issue, Node: c.n.id, Peer: owner,
+			rt.emit(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 				Kind: earth.EvPutSend, Bytes: nbytes})
 		}
 		c.coalAdd(owner, coalOp{kind: msgPut, f: f, slot: slot, write: write,
@@ -1814,11 +1753,11 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 	issue := c.cursor
 	src := c.n.id
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: owner,
+		rt.emit(earth.Event{Time: issue, Node: src, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
 	}
 	arrival := rt.send(c.cursor, src, owner, nbytes)
-	m := rt.newMsg(c.n.sh)
+	m := rt.newMsg()
 	m.kind = msgPut
 	m.from, m.to = src, owner
 	m.f = f
@@ -1827,7 +1766,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 	m.bytes = nbytes
 	m.issue = issue
 	m.recvCost = rt.cfg.Costs.RecvCost(nbytes, false)
-	rt.deliver(c.n.sh, issue, arrival, m)
+	rt.deliver(issue, arrival, m)
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
@@ -1851,11 +1790,11 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 	c.cursor += rt.cfg.Costs.SendCost(0, true)
 	issue := c.cursor
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: c.n.id, Peer: owner,
+		rt.emit(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
 	reqArrival := rt.send(c.cursor, c.n.id, owner, 8)
-	m := rt.newMsg(c.n.sh)
+	m := rt.newMsg()
 	m.kind = msgGetReq
 	m.from, m.to = c.n.id, owner
 	m.f = f
@@ -1864,7 +1803,7 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 	m.bytes = nbytes
 	m.issue = issue
 	m.recvCost = rt.cfg.Costs.RecvCost(nbytes, true)
-	rt.deliver(c.n.sh, issue, reqArrival, m)
+	rt.deliver(issue, reqArrival, m)
 }
 
 func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
@@ -1882,11 +1821,11 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	issue := c.cursor
 	src := c.n.id
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: nodeID,
+		rt.emit(earth.Event{Time: issue, Node: src, Peer: nodeID,
 			Kind: earth.EvInvokeSend, Bytes: argBytes})
 	}
 	arrival := rt.send(c.cursor, src, nodeID, argBytes)
-	m := rt.newMsg(c.n.sh)
+	m := rt.newMsg()
 	m.kind = msgThread
 	m.from, m.to = src, nodeID
 	m.body = body
@@ -1894,7 +1833,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	m.issue = issue
 	m.cause = earth.CauseInvoke
 	m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
-	rt.deliver(c.n.sh, issue, arrival, m)
+	rt.deliver(issue, arrival, m)
 }
 
 // Post delivers handler on the target's message-handling path: its effect
@@ -1910,7 +1849,7 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		// Local post: handled immediately after the current thread's
 		// current point; modelled as a local spawn on the handler path.
 		c.cursor += rt.cfg.Costs.SpawnLocal
-		m := rt.newMsg(c.n.sh)
+		m := rt.newMsg()
 		m.kind = msgPost
 		m.from, m.to = c.n.id, nodeID
 		m.body = handler
@@ -1921,13 +1860,13 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 			// self-fence forever.
 			m.sendEpoch = rt.epochs[c.n.id]
 		}
-		c.n.sh.eng.At(c.cursor, m.fire)
+		rt.eng.At(c.cursor, m.fire)
 		return
 	}
 	if rt.coalOn {
 		c.cursor += rt.cfg.Costs.CopyCost(argBytes)
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
+			rt.emit(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 				Kind: earth.EvPostSend, Bytes: argBytes})
 		}
 		c.coalAdd(nodeID, coalOp{kind: msgPost, body: handler,
@@ -1936,17 +1875,17 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
+		rt.emit(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 			Kind: earth.EvPostSend, Bytes: argBytes})
 	}
 	arrival := rt.send(c.cursor, c.n.id, nodeID, argBytes)
-	m := rt.newMsg(c.n.sh)
+	m := rt.newMsg()
 	m.kind = msgPost
 	m.from, m.to = c.n.id, nodeID
 	m.body = handler
 	m.bytes = argBytes
 	m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
-	rt.deliver(c.n.sh, c.cursor, arrival, m)
+	rt.deliver(c.cursor, arrival, m)
 }
 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
@@ -1958,16 +1897,15 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		if rt.cfg.Balancer == earth.BalanceRandomPlace {
 			target = earth.NodeID(c.n.rng.Intn(len(rt.nodes)))
 		} else {
-			// Per-node cursor: round-robin placement must not depend on a
-			// machine-global counter, whose increment order would vary with
-			// the shard count.
+			// Per-node cursor: round-robin placement depends only on the
+			// node's own issue order.
 			target = earth.NodeID(c.n.rr % len(rt.nodes))
 			c.n.rr++
 		}
 		if target == c.n.id {
 			c.cursor += rt.cfg.Costs.SpawnLocal
 			if rt.tr != nil {
-				rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
+				rt.emit(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
 					Kind: earth.EvTokenSpawn, Bytes: argBytes})
 			}
 			rt.enqueue(c.n, item{body: body, token: true, enq: c.cursor, cause: earth.CauseToken})
@@ -1978,11 +1916,11 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		}
 		c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
+			rt.emit(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
 		arrival := rt.send(c.cursor, c.n.id, target, argBytes)
-		m := rt.newMsg(c.n.sh)
+		m := rt.newMsg()
 		m.kind = msgThread
 		m.from, m.to = c.n.id, target
 		m.body = body
@@ -1990,11 +1928,11 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		m.issue = c.cursor
 		m.cause = earth.CauseToken
 		m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
-		rt.deliver(c.n.sh, c.cursor, arrival, m)
+		rt.deliver(c.cursor, arrival, m)
 	default: // BalanceSteal, BalanceNone
 		c.cursor += rt.cfg.Costs.SpawnLocal
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: earth.NoPeer,
+			rt.emit(earth.Event{Time: c.cursor, Node: c.n.id, Peer: earth.NoPeer,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
 		c.cursor = rt.depositToken(c.n, c.cursor, token{body: body, argBytes: argBytes})

@@ -492,3 +492,20 @@ func TestInvokeArgsSizes(t *testing.T) {
 		t.Fatalf("bytes = %d, want 44", st.Nodes[0].BytesSent)
 	}
 }
+
+// TestTokenRoundtripAllocs gates the engine's per-window allocation cost.
+// A warm 64-token run allocates only its per-Run state (stats, event
+// queue, closures); window barriers must add nothing. Sorting the barrier
+// merges with sort.Slice once cost 120 allocations per run here.
+func TestTokenRoundtripAllocs(t *testing.T) {
+	rt := New(earth.Config{Nodes: 8, Seed: 1})
+	body := func(c earth.Ctx) {
+		for j := 0; j < 64; j++ {
+			c.Token(16, func(earth.Ctx) {})
+		}
+	}
+	rt.Run(body)
+	if a := testing.AllocsPerRun(20, func() { rt.Run(body) }); a > 10 {
+		t.Errorf("token roundtrip allocates %.0f times per run, want <= 10", a)
+	}
+}

@@ -1,63 +1,36 @@
-// Conservative time-windowed parallel simulation.
+// Conservative time windows.
 //
-// The simulated nodes are partitioned into contiguous shards, each with its
-// own sim.Engine. The coordinator repeatedly:
+// The run loop repeatedly:
 //
-//  1. computes the global minimum pending event time tmin,
-//  2. runs every shard concurrently up to the window end
-//     tmin + lookahead (clamped to the next crash/detection boundary),
-//  3. at the barrier, merges the shards' outboxed cross-node messages in a
-//     canonical order, matches hungry thieves to victims, emits due
-//     utilisation samples, and applies due crash boundaries.
+//  1. computes the earliest pending event time tmin,
+//  2. runs the event queue up to the window end tmin + lookahead (clamped
+//     to the next crash/detection/fence boundary),
+//  3. at the barrier, merges the window's outboxed cross-node messages in
+//     a canonical order, re-arms thieves whose steal missed, emits due
+//     utilisation samples, matches hungry thieves to victims, and applies
+//     due boundaries.
 //
 // The lookahead is manna.Config.MinRemoteLatency(): no message issued at or
 // after tmin can arrive anywhere before tmin + lookahead, and every fault
 // perturbation (drop retransmission, delay, duplication, crash-hold) only
-// pushes arrivals later, so a window's shards can never affect each other
-// mid-window. Mid-window a node mutates only its own state — every
-// cross-node effect is an outboxed message applied at the barrier in
-// (arrival, sender, issue-order) order — so the per-node execution is
-// independent of the partitioning, and stats, traces and critical-path
-// attribution are byte-identical for every shard count.
+// pushes arrivals later, so the barrier never schedules into the past.
+// The windows define the results: steals are matched only at barriers, and
+// same-instant arrivals enter the queue in (arrival, sender, issue-order)
+// order rather than in the order they were sent.
 package simrt
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"earth/internal/earth"
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
 
-// shard is one host worker's slice of the machine: nodes [lo, hi) and a
-// private event queue. Everything inside is touched either by the shard's
-// own events mid-window or by the coordinator at barriers, never both at
-// once.
-type shard struct {
-	id, lo, hi int
-	rt         *Runtime
-	eng        *sim.Engine
-	// outbox holds the cross-node messages this shard's events issued in
-	// the current window, drained by the coordinator at the barrier.
-	outbox []outboxEntry
-	// misses holds steal-miss notifications for thieves on other shards,
-	// drained at the barrier.
-	misses []missNote
-	// events buffers this shard's trace emissions for the final canonical
-	// merge.
-	events []earth.Event
-	// msgFree is the shard-local envelope pool.
-	msgFree []*msg
-	// runCh/doneCh drive the shard's worker goroutine (nil for shard 0,
-	// which runs inline on the coordinator).
-	runCh  chan sim.Time
-	doneCh chan any
-}
-
 // outboxEntry is one cross-node message awaiting the barrier merge. The
 // (at, from, seq) triple orders entries canonically: seq is the sender
-// node's own issue counter, so the merged order depends only on per-node
-// execution, never on the shard layout.
+// node's own issue counter, so the order is total.
 type outboxEntry struct {
 	at   sim.Time
 	from earth.NodeID
@@ -65,18 +38,10 @@ type outboxEntry struct {
 	m    *msg
 }
 
-// missNote tells the coordinator that a steal request missed at a victim,
-// so the thief (usually on another shard) can be re-matched at the barrier.
-type missNote struct {
-	at    sim.Time
-	thief earth.NodeID
-}
-
 // boundary is one instant of the precomputed failure schedule. Windows
 // never simulate across a boundary: crashes, detections, fences and heals
 // mutate state machine-wide (routing, adoption, token reassignment, epoch
-// bumps), so they run on the quiesced coordinator, at the same virtual
-// instant for every shard count.
+// bumps), so they run between windows.
 type boundary struct {
 	at   sim.Time
 	kind uint8
@@ -113,27 +78,25 @@ func makeBoundaries(crashAt []sim.Time, fences []faults.Fence, lease sim.Time) [
 		bs = append(bs, boundary{at: f.At, kind: bFence, node: f.Node, ref: f.At})
 		bs = append(bs, boundary{at: f.Heal, kind: bHeal, node: f.Node, ref: f.At})
 	}
-	sort.Slice(bs, func(i, j int) bool {
-		if bs[i].at != bs[j].at {
-			return bs[i].at < bs[j].at
+	slices.SortFunc(bs, func(a, b boundary) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		if bs[i].kind != bs[j].kind {
-			return bs[i].kind < bs[j].kind
+		if a.kind != b.kind {
+			return cmp.Compare(a.kind, b.kind)
 		}
-		return bs[i].node < bs[j].node
+		return cmp.Compare(a.node, b.node)
 	})
 	return bs
 }
 
-// runWindows is the coordinator loop driving one Run to quiescence.
+// runWindows drives one Run to quiescence.
 func (rt *Runtime) runWindows() {
-	stop := rt.startWorkers()
-	defer stop()
 	var vnow sim.Time
 	bi := 0
 	for {
 		rt.barrier(vnow)
-		tmin, ok := rt.minPending()
+		tmin, ok := rt.eng.Peek()
 		haveB := bi < len(rt.boundaries)
 		if !ok && !haveB {
 			return
@@ -165,75 +128,36 @@ func (rt *Runtime) runWindows() {
 		if haveB && rt.boundaries[bi].at < end {
 			end = rt.boundaries[bi].at
 		}
-		rt.runShards(end)
+		rt.runWindow(end)
 		vnow = end
 	}
 }
 
-// minPending returns the earliest pending event time across all shards.
-// Valid only at barriers, when every outboxed message has been inserted.
-func (rt *Runtime) minPending() (sim.Time, bool) {
-	var best sim.Time
-	ok := false
-	for _, s := range rt.shards {
-		if t, has := s.eng.Peek(); has && (!ok || t < best) {
-			best, ok = t, true
-		}
-	}
-	return best, ok
-}
-
-// barrier is the coordinator's between-window work, in a fixed order so
-// its effects are identical for every shard count:
+// barrier is the between-window work, in a fixed order:
 //
-//  1. merge all shards' outboxed messages canonically and insert them
-//     into their target engines,
+//  1. merge the outboxed messages canonically into the event queue,
 //  2. deliver steal-miss notes (re-arming thieves for matching),
 //  3. emit utilisation samples due up to the executed horizon,
 //  4. match hungry thieves to steal victims.
 func (rt *Runtime) barrier(vnow sim.Time) {
-	box := rt.boxScratch[:0]
-	for _, s := range rt.shards {
-		box = append(box, s.outbox...)
-		s.outbox = s.outbox[:0]
-	}
-	sort.Slice(box, func(i, j int) bool {
-		a, b := &box[i], &box[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.seq < b.seq
-	})
-	for i := range box {
-		e := &box[i]
-		rt.nodes[e.m.to].sh.eng.At(e.at, e.m.fire)
+	slices.SortFunc(rt.outbox, outboxCmp)
+	for i := range rt.outbox {
+		e := &rt.outbox[i]
+		rt.eng.At(e.at, e.m.fire)
 		e.m = nil
 	}
-	rt.boxScratch = box[:0]
+	rt.outbox = rt.outbox[:0]
 
-	ms := rt.missScratch[:0]
-	for _, s := range rt.shards {
-		ms = append(ms, s.misses...)
-		s.misses = s.misses[:0]
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].at != ms[j].at {
-			return ms[i].at < ms[j].at
-		}
-		return ms[i].thief < ms[j].thief
-	})
-	for _, note := range ms {
-		th := rt.nodes[note.thief]
+	// Each note touches only its own thief, so their order is irrelevant.
+	for _, thief := range rt.misses {
+		th := rt.nodes[thief]
 		th.stealing = false
 		if !th.running && th.ready.len() == 0 && th.tokens.len() == 0 &&
 			!rt.downNow(th.id) {
 			th.hungry = true
 		}
 	}
-	rt.missScratch = ms[:0]
+	rt.misses = rt.misses[:0]
 
 	if rt.sampling {
 		rt.emitSamples()
@@ -241,6 +165,16 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 	if rt.cfg.Balancer == earth.BalanceSteal {
 		rt.matchSteals(vnow)
 	}
+}
+
+func outboxCmp(a, b outboxEntry) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // matchSteals pairs hungry (idle, dry) thieves with victims holding
@@ -264,16 +198,16 @@ func (rt *Runtime) matchSteals(vnow sim.Time) {
 		th.stealing = true
 		issue := vnow + rt.cfg.Costs.AsyncSend
 		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: issue, Node: th.id, Peer: v.id,
+			rt.emit(earth.Event{Time: issue, Node: th.id, Peer: v.id,
 				Kind: earth.EvStealRequest, Bytes: stealReqBytes})
 		}
 		arrival := rt.send(issue, th.id, v.id, stealReqBytes)
-		m := rt.newMsg(v.sh)
+		m := rt.newMsg()
 		m.kind = msgStealReq
 		m.from, m.to = th.id, v.id
 		m.bytes = stealReqBytes
 		m.issue = issue
-		rt.deliver(nil, issue, arrival, m)
+		rt.deliver(issue, arrival, m)
 	}
 }
 
@@ -304,97 +238,21 @@ func (rt *Runtime) emitSamples() {
 				}
 			}
 			n.spans = kept
-			rt.emit(nil, earth.Event{Time: next, Node: n.id, Peer: earth.NoPeer,
+			rt.emit(earth.Event{Time: next, Node: n.id, Peer: earth.NoPeer,
 				Kind: earth.EvUtilSample, Dur: busy})
 		}
 		rt.sampleNext += period
 	}
 }
 
-// startWorkers launches one goroutine per shard beyond the first and
-// returns the function that retires them. Shard 0 always runs inline on
-// the coordinator. The goroutines communicate exclusively through their
-// run/done channels: mid-window they own disjoint state, and the barrier
-// protocol is the only synchronisation — which is why results cannot
-// depend on goroutine scheduling.
-func (rt *Runtime) startWorkers() func() {
-	ws := rt.shards[1:]
-	if len(ws) == 0 {
-		return func() {}
-	}
-	for _, s := range ws {
-		s.runCh = make(chan sim.Time, 1)
-		s.doneCh = make(chan any, 1)
-		s := s
-		//detlint:allow shard workers synchronise exclusively at window barriers; results are byte-identical for every shard count
-		go func() {
-			for end := range s.runCh {
-				var pan any
-				func() {
-					defer func() { pan = recover() }()
-					s.eng.RunBefore(end)
-				}()
-				s.doneCh <- pan
-			}
-		}()
-	}
-	return func() {
-		for _, s := range ws {
-			close(s.runCh)
-		}
-	}
-}
-
-// runShards executes one window: every shard with an event before end runs
-// concurrently up to (strictly before) end. The coordinator runs shard 0
-// inline and collects the workers at the barrier. A panicking shard (a
-// programming-error panic from application code, e.g. Ctx misuse) is
-// re-raised after every active worker has parked, so the machine is
-// quiescent and no worker is left running.
-func (rt *Runtime) runShards(end sim.Time) {
+// runWindow executes the events strictly before end, then reopens the
+// barrier.
+func (rt *Runtime) runWindow(end sim.Time) {
 	rt.atBarrier = false
-	act := rt.actScratch[:0]
-	var inline *shard
-	for _, s := range rt.shards {
-		t, ok := s.eng.Peek()
-		if !ok || t >= end {
-			continue
-		}
-		if s.id == 0 {
-			inline = s
-			continue
-		}
-		s.runCh <- end
-		act = append(act, s)
-	}
-	var pan any
-	if inline != nil {
-		if len(act) == 0 {
-			// Single-shard (or single-active-shard) fast path: run on the
-			// coordinator with no recover frame, preserving ordinary panic
-			// propagation to the caller of Run.
-			inline.eng.RunBefore(end)
-		} else {
-			func() {
-				defer func() { pan = recover() }()
-				inline.eng.RunBefore(end)
-			}()
-		}
-	}
-	for _, s := range act {
-		if p := <-s.doneCh; p != nil && pan == nil {
-			pan = p
-		}
-	}
-	rt.actScratch = act[:0]
+	rt.eng.RunBefore(end)
 	rt.atBarrier = true
-	for _, s := range rt.shards {
-		if t := s.eng.Now(); t > rt.maxExec {
-			rt.maxExec = t
-		}
-	}
-	if pan != nil {
-		panic(pan)
+	if t := rt.eng.Now(); t > rt.maxExec {
+		rt.maxExec = t
 	}
 }
 
@@ -432,49 +290,45 @@ func phaseRank(k earth.EventKind) uint8 {
 	}
 }
 
-// eventLess is the canonical trace order: virtual time, node, phase, then
+// eventCmp is the canonical trace order: virtual time, node, phase, then
 // every remaining field, so the comparison is total up to identity and the
-// (unstable) sort yields one well-defined stream for any shard count.
-func eventLess(a, b *earth.Event) bool {
+// (unstable) sort yields one well-defined stream whatever the emission
+// order.
+func eventCmp(a, b earth.Event) int {
 	if a.Time != b.Time {
-		return a.Time < b.Time
+		return cmp.Compare(a.Time, b.Time)
 	}
 	if a.Node != b.Node {
-		return a.Node < b.Node
+		return cmp.Compare(a.Node, b.Node)
 	}
-	pa, pb := phaseRank(a.Kind), phaseRank(b.Kind)
-	if pa != pb {
-		return pa < pb
+	if pa, pb := phaseRank(a.Kind), phaseRank(b.Kind); pa != pb {
+		return cmp.Compare(pa, pb)
 	}
 	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	}
 	if a.Cause != b.Cause {
-		return a.Cause < b.Cause
+		return cmp.Compare(a.Cause, b.Cause)
 	}
 	if a.Peer != b.Peer {
-		return a.Peer < b.Peer
+		return cmp.Compare(a.Peer, b.Peer)
 	}
 	if a.Dur != b.Dur {
-		return a.Dur < b.Dur
+		return cmp.Compare(a.Dur, b.Dur)
 	}
 	if a.Wait != b.Wait {
-		return a.Wait < b.Wait
+		return cmp.Compare(a.Wait, b.Wait)
 	}
-	return a.Bytes < b.Bytes
+	return cmp.Compare(a.Bytes, b.Bytes)
 }
 
-// flushTrace merges the coordinator's and every shard's buffered events,
-// sorts them canonically and hands the stream to the tracer.
+// flushTrace sorts the buffered events canonically and hands the stream to
+// the tracer.
 func (rt *Runtime) flushTrace() {
 	if rt.tr != nil {
-		evs := rt.cord
-		for _, s := range rt.shards {
-			evs = append(evs, s.events...)
-		}
-		sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
-		for i := range evs {
-			rt.tr.Event(evs[i])
+		slices.SortFunc(rt.events, eventCmp)
+		for i := range rt.events {
+			rt.tr.Event(rt.events[i])
 		}
 	}
 }

@@ -154,10 +154,6 @@ type parState struct {
 	ring    *poly.Ring
 	workers int
 	m       earth.NodeID // maintenance node
-	// red is the shared reduction workspace. All simulated-worker code
-	// runs on the single host goroutine driving the sim engine, so one
-	// workspace serves every simulated node without contention.
-	red *poly.Reducer
 
 	nodes []*parNode
 
@@ -186,6 +182,18 @@ type parNode struct {
 	processed   int
 	cacheDirty  bool
 	ringAsked   bool
+	// red is the worker's reduction workspace. It is per node because
+	// livert runs different nodes' bodies on different goroutines.
+	red *poly.Reducer
+}
+
+// reducer returns the worker's reduction workspace, allocating it on
+// first use.
+func (n *parNode) reducer() *poly.Reducer {
+	if n.red == nil {
+		n.red = poly.NewReducer()
+	}
+	return n.red
 }
 
 // prefixLen returns the length of the contiguous replicated registry
@@ -246,7 +254,6 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		ring:      ring,
 		workers:   rt.P() - 1,
 		m:         earth.NodeID(rt.P() - 1),
-		red:       poly.NewReducer(),
 		waiting:   map[int]bool{},
 		inflight:  map[int]Pair{},
 		outstand:  map[int]int{},
@@ -435,7 +442,7 @@ func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
 	G := n.cacheList()
 	s := poly.SPoly(n.cache[p.I], n.cache[p.J])
-	nf, rst := st.red.NormalForm(s, G)
+	nf, rst := n.reducer().NormalForm(s, G)
 	c.Compute(st.cfg.StepCost.PerPair + sim.Time(rst.TermOps)*st.cfg.StepCost.PerTermOp)
 	n.processed++
 
@@ -547,7 +554,7 @@ func (st *parState) tryInsert(c earth.Ctx) {
 // a dead one is withdrawn.
 func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 	n := st.nodes[req.w]
-	nf, rst := st.red.NormalForm(req.nf, n.cacheList())
+	nf, rst := n.reducer().NormalForm(req.nf, n.cacheList())
 	c.Compute(sim.Time(rst.TermOps) * st.cfg.StepCost.PerTermOp)
 	if nf.IsZero() {
 		n.outstanding--

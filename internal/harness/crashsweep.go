@@ -70,7 +70,7 @@ func CrashSweep(cfg Config) *Report {
 	// The clean baselines run first: crash times are fractions of the
 	// clean makespan, so the crashed cells depend on them.
 	forEachCell(cfg.Workers, len(wls), func(wi int) {
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
+		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed}))
 		cells[wi*per] = cell{fp: fp, elapsed: st.Elapsed}
 	})
 	forEachCell(cfg.Workers, len(wls)*len(crashKills)*cfg.Runs, func(i int) {
@@ -79,7 +79,7 @@ func CrashSweep(cfg Config) *Report {
 		wi := i / (cfg.Runs * len(crashKills))
 		clean := cells[wi*per].elapsed
 		plan := crashPlan(crashKills[ki], nodes, run, clean, cfg.Seed)
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Faults: plan, Shards: cfg.Shards}))
+		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Faults: plan}))
 		var detect sim.Time
 		for _, n := range st.Nodes {
 			detect += n.DetectionLatency

@@ -34,6 +34,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		{"AblationSearchApps", AblationSearchApps},
 		{"AblationKnuthBendix", AblationKnuthBendix},
 		{"AblationPortedMachines", AblationPortedMachines},
+		{"Overhead", Overhead},
 	}
 	for _, e := range experiments {
 		e := e

@@ -104,7 +104,7 @@ func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 		run := i % per
 		ni := i / per % len(nodeList)
 		wi := i / (per * len(nodeList))
-		ec := earth.Config{Nodes: nodeList[ni], Seed: cfg.Seed + int64(run)*7919, Shards: cfg.Shards}
+		ec := earth.Config{Nodes: nodeList[ni], Seed: cfg.Seed + int64(run)*7919}
 		if run > 0 {
 			p := *plan
 			if p.Seed != 0 {

@@ -54,12 +54,6 @@ type Config struct {
 	// Report and Series byte-identical to Workers=1 for the same seed.
 	// Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards is passed to every simulated machine's earth.Config.Shards:
-	// conservative time-windowed parallel simulation inside each cell, on
-	// top of (and composable with) the cell-level Workers parallelism.
-	// Results are byte-identical for every value; 0 leaves each cell
-	// single-sharded.
-	Shards int
 	// NoCoalesce disables same-destination message coalescing
 	// (earth.Config.Coalesce) in the sweeps converted to the batched
 	// wire path: the neural-network figures (7 and 8) and the Figure 5
@@ -189,7 +183,7 @@ func Figure2(cfg Config) (*Report, []*stats.Series) {
 	nN := len(cfg.Nodes)
 	elapsed := make([]sim.Time, len(variants)*nN)
 	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed})
 		par := eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol, Args: variants[i/nN]})
 		elapsed[i] = par.Stats.Elapsed
 	})
@@ -292,7 +286,7 @@ func groebnerSweeps(cfg Config, ins []groebner.NamedInput, models []earth.CostMo
 		ii := i / (runs * nN * nM)
 		rt := simrt.New(earth.Config{
 			Nodes: nodeList[ni], Seed: cfg.Seed + int64(run)*7919,
-			Costs: models[mi], JitterPct: 2, Shards: cfg.Shards,
+			Costs: models[mi], JitterPct: 2,
 			Coalesce: coal,
 		})
 		res, err := groebner.ParallelBuchberger(rt, ins[ii].F,
@@ -437,7 +431,7 @@ func nnSweeps(cfg Config, widths []int, train bool) []*stats.Series {
 			return
 		}
 		xs, ts := nnSamples(u, samples)
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[k-1], Seed: cfg.Seed, Shards: cfg.Shards,
+		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[k-1], Seed: cfg.Seed,
 			Coalesce: cfg.coalesce()})
 		res := neural.ParallelRun(rt, neural.Square(u, 1), xs, ts,
 			neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
@@ -516,7 +510,7 @@ func AblationNNTree(cfg Config) *Report {
 			elapsed[0] = nnSeqPerSample(u, false, samples)
 			return
 		}
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[(i-1)%nN], Seed: cfg.Seed, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[(i-1)%nN], Seed: cfg.Seed})
 		res := neural.ParallelRun(rt, neural.Square(u, 1), xs, nil,
 			neural.ParallelConfig{Tree: trees[(i-1)/nN]})
 		elapsed[i] = res.Stats.Elapsed
@@ -550,7 +544,7 @@ func AblationEigenPlacement(cfg Config) *Report {
 	nN := len(cfg.Nodes)
 	elapsed := make([]sim.Time, len(bals)*nN)
 	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed, Balancer: bals[i/nN], Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed, Balancer: bals[i/nN]})
 		par := eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol})
 		elapsed[i] = par.Stats.Elapsed
 	})
@@ -600,7 +594,7 @@ func AblationGroebnerScheduling(cfg Config) *Report {
 	}
 	cells := make([]cellRes, len(variants)*nN)
 	forEachCell(cfg.Workers, len(cells), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: nodeList[i%nN], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodeList[i%nN], Seed: cfg.Seed, JitterPct: 2})
 		res, err := groebner.ParallelBuchberger(rt, in.F, variants[i/nN].pc)
 		if err != nil {
 			panic(err)
@@ -680,7 +674,7 @@ func AblationNNModes(cfg Config) *Report {
 		if k > 0 {
 			nodes = cfg.Nodes[k-1]
 		}
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed})
 		elapsed[i] = modes[i/stride].run(rt)
 	})
 	for mi, m := range modes {
@@ -731,7 +725,7 @@ func AblationSearchApps(cfg Config) *Report {
 		if k > 0 {
 			nodes = sweep[k-1]
 		}
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed})
 		elapsed[i] = apps[i/stride].run(rt)
 	})
 	var series []*stats.Series
@@ -777,7 +771,7 @@ func AblationKnuthBendix(cfg Config) *Report {
 	nodeList := nodesMin(cfg.Nodes, 2)
 	elapsed := make([]sim.Time, len(nodeList))
 	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: nodeList[i], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodeList[i], Seed: cfg.Seed, JitterPct: 2})
 		res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{StepCost: sc})
 		if err != nil {
 			panic(err)
@@ -820,7 +814,7 @@ func AblationPortedMachines(cfg Config) *Report {
 	forEachCell(cfg.Workers, len(elapsed), func(i int) {
 		nodes := nodeList[i%nN]
 		mc := machines[i/nN].mk(nodes)
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2})
 		res, err := groebner.ParallelBuchberger(rt, in.F, groebner.ParallelConfig{Opt: in.Opt, StepCost: sc})
 		if err != nil {
 			panic(err)

@@ -56,7 +56,7 @@ func Overhead(cfg Config) *Report {
 		wi, v := i/variants, i%variants
 		rec := obs.NewRecorder()
 		ec := earth.Config{Nodes: nodes, Seed: cfg.Seed, Tracer: rec,
-			Shards: cfg.Shards, Coalesce: cfg.coalesce()}
+			Coalesce: cfg.coalesce()}
 		if v == 1 {
 			p := *plan
 			ec.Faults = &p

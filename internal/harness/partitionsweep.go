@@ -62,7 +62,7 @@ func PartitionSweep(cfg Config) *Report {
 	per := 1 + grid*cfg.Runs // index 0 clean, then dur-major × lease × run
 	cells := make([]cell, len(wls)*per)
 	forEachCell(cfg.Workers, len(wls), func(wi int) {
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
+		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed}))
 		cells[wi*per] = cell{fp: fp, elapsed: st.Elapsed}
 	})
 	forEachCell(cfg.Workers, len(wls)*grid*cfg.Runs, func(i int) {
@@ -75,7 +75,7 @@ func PartitionSweep(cfg Config) *Report {
 		lease := sim.Time(partLeaseFracs[li] * float64(clean))
 		plan := partitionPlan(nodes, run, dur, clean, cfg.Seed)
 		fp, st := wls[wi].run(simrt.New(earth.Config{
-			Nodes: nodes, Seed: cfg.Seed, Faults: plan, Shards: cfg.Shards,
+			Nodes: nodes, Seed: cfg.Seed, Faults: plan,
 			Retry: earth.RetryPolicy{Lease: lease},
 		}))
 		cells[wi*per+1+(di*len(partLeaseFracs)+li)*cfg.Runs+run] = cell{

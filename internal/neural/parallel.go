@@ -437,10 +437,10 @@ func (st *pstate) outputPhase(c earth.Ctx, k int) {
 		c.Compute(sim.Time(own) * st.cost.fwdUnit)
 		if st.cfg.Train {
 			// Combined forward/backward at the output units: deltas,
-			// W2 updates and the partial hidden sums.
-			for j := range n.partial {
-				n.partial[j] = 0
-			}
+			// W2 updates and the partial hidden sums. partial is only
+			// accumulated here — a child's sums may already have arrived
+			// (under livert nothing orders them after this body) — and is
+			// zeroed where it is forwarded or consumed.
 			for u := 0; u < own; u++ {
 				o := st.cm.outStart[k] + u
 				d := OutputDelta(n.packY[u], n.lt[o])
@@ -464,6 +464,7 @@ func (st *pstate) reduceBack(c earth.Ctx, k int) {
 	if !st.cfg.Tree {
 		n := st.nodes[k]
 		data := append([]float32(nil), n.partial...)
+		clear(n.partial)
 		c.Put(0, bytes, func() {
 			for j := range st.back {
 				st.back[j] += data[j]
@@ -486,11 +487,13 @@ func (st *pstate) trySendBack(c earth.Ctx, k int) {
 	n.gotB = 0
 	if k == 0 {
 		copy(st.back, n.partial)
+		clear(n.partial)
 		st.backReady(c)
 		return
 	}
 	parent := st.cm.parent(k)
 	data := append([]float32(nil), n.partial...)
+	clear(n.partial)
 	c.Post(earth.NodeID(parent), st.net.NHid*4, func(c earth.Ctx) {
 		pn := st.nodes[parent]
 		for j := range pn.partial {

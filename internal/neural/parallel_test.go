@@ -3,6 +3,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"earth/internal/earth"
@@ -63,12 +64,18 @@ func TestParallelTrainingMatchesSequential(t *testing.T) {
 	rt := simrt.New(earth.Config{Nodes: 4, Seed: 9})
 	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.3})
 
-	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+math.Abs(seqLoss)) {
-		t.Fatalf("loss: parallel %v vs sequential %v", res.Loss, seqLoss)
+	checkTrained(t, res.Loss, seqLoss, parNet, seqNet)
+}
+
+// checkTrained compares a parallel training run with its sequential
+// replay. Weights must agree closely: tree-reduce order can differ from
+// the sequential summation only in float32 rounding of the partial sums,
+// and float64 accumulation keeps them tight.
+func checkTrained(t *testing.T, loss, seqLoss float64, parNet, seqNet *Net) {
+	t.Helper()
+	if math.Abs(loss-seqLoss) > 1e-6*(1+math.Abs(seqLoss)) {
+		t.Fatalf("loss: parallel %v vs sequential %v", loss, seqLoss)
 	}
-	// Weights after training must agree closely (tree-reduce order can
-	// differ from the sequential summation only in float32 rounding of
-	// the partial sums; float64 accumulation keeps them tight).
 	for j := range seqNet.W1 {
 		for i := range seqNet.W1[j] {
 			d := math.Abs(float64(seqNet.W1[j][i] - parNet.W1[j][i]))
@@ -133,19 +140,25 @@ func TestParallelForwardOnLiveRuntime(t *testing.T) {
 	}
 }
 
+// TestParallelTrainOnLiveRuntime: on the goroutine engine a child's
+// back-reduce Post can reach its parent before the parent's own output
+// body has run, so the partial sums must survive either order. Across
+// many seeds with at least two host threads, live tree training must
+// match the sequential replay.
 func TestParallelTrainOnLiveRuntime(t *testing.T) {
-	width := 8
-	xs, ts := samples(width, width, 3, 6)
-	seqNet := Square(width, 13)
-	parNet := seqNet.Clone()
-	var seqLoss float64
-	for s := range xs {
-		seqLoss += seqNet.TrainSample(xs[s], ts[s], 0.2)
-	}
-	rt := livert.New(earth.Config{Nodes: 4, Seed: 6})
-	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.2})
-	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+seqLoss) {
-		t.Fatalf("live loss %v vs %v", res.Loss, seqLoss)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const width = 32
+	for seed := int64(1); seed <= 32; seed++ {
+		xs, ts := samples(width, width, 8, seed)
+		seqNet := Square(width, seed)
+		parNet := seqNet.Clone()
+		var seqLoss float64
+		for s := range xs {
+			seqLoss += seqNet.TrainSample(xs[s], ts[s], 0.3)
+		}
+		rt := livert.New(earth.Config{Nodes: 16, Seed: seed})
+		res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.3})
+		checkTrained(t, res.Loss, seqLoss, parNet, seqNet)
 	}
 }
 
